@@ -28,7 +28,7 @@ import pytest
 from repro.core.sessions import sessionize, sessionize_columnar
 from repro.core.usage import profile_users, profile_users_columnar
 from repro.logs.io import read_tsv, read_tsv_columnar, write_tsv
-from repro.workload import GeneratorOptions, generate_columnar_parallel
+from repro.workload import GeneratorOptions, TraceGenerator
 
 #: Full benchmark scale; ``BENCH_COLUMNAR_USERS`` overrides (CI smoke).
 BENCH_USERS = int(os.environ.get("BENCH_COLUMNAR_USERS", "20000"))
@@ -57,15 +57,13 @@ def _emit_json(update: dict) -> None:
 
 def test_columnar_analysis_speedup(tmp_path):
     trace_path = tmp_path / "bench.tsv"
-    trace = generate_columnar_parallel(
+    generator = TraceGenerator(
         BENCH_USERS,
         n_pc_only_users=BENCH_PC_USERS,
         options=BENCH_OPTIONS,
         seed=BENCH_SEED,
-        n_shards=os.cpu_count() or 1,
     )
-    n_records = write_tsv(trace.iter_records(), trace_path)
-    del trace
+    n_records = write_tsv(generator.generate(), trace_path)
 
     # Columnar first, and each path's objects are freed before the other
     # is timed: millions of live LogRecords slow every later allocation

@@ -1,9 +1,10 @@
 """Benchmark — serial vs. sharded parallel trace generation throughput.
 
-Both engines are timed producing their on-disk deliverable: the serial
-generator writes one TSV trace; the sharded engine writes K sorted part
-files on worker processes (downstream analyses read them through the
-lazy k-way merge iterator, so the parts *are* the queryable trace).
+Both paths are timed producing their on-disk deliverable: the serial
+generator writes one TSV trace; ``generate_columnar_sharded`` writes K
+sorted columnar parts on worker processes (downstream analyses read them
+through the bounded-memory k-way merge, so the parts *are* the queryable
+trace).
 Prints a records/second table and asserts the determinism contract held
 (identical record counts).  The >= 1.5x speedup gate only arms on
 machines with at least four cores; on smaller runners the numbers are
@@ -19,7 +20,7 @@ from repro.logs.io import write_tsv
 from repro.workload import (
     GeneratorOptions,
     TraceGenerator,
-    generate_sharded,
+    generate_columnar_sharded,
 )
 
 BENCH_USERS = 1200
@@ -47,7 +48,7 @@ def _serial(tmp_path):
 
 def _parallel(tmp_path, workers):
     start = time.perf_counter()
-    sharded = generate_sharded(
+    sharded = generate_columnar_sharded(
         BENCH_USERS,
         n_pc_only_users=BENCH_PC_USERS,
         options=BENCH_OPTIONS,

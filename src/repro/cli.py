@@ -3,10 +3,12 @@
 Subcommands
 -----------
 ``generate``
-    Synthesize a week-long trace to a TSV/JSONL file.
+    Synthesize a week-long trace to a TSV/JSONL file, serially or on
+    ``--workers`` processes over ``--shards`` population shards; the
+    file is byte-identical for any worker or shard count.
 ``analyze``
-    Run the Section 3 behaviour pipeline over a trace file and print the
-    findings report.
+    Bulk-parse a trace file into columns, run the Section 3 behaviour
+    pipeline over it and print the findings report.
 ``experiments``
     Run the paper-reproduction battery (all of it, or selected ids).
 ``simulate-flow``
@@ -43,7 +45,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     from .logs.anonymize import Anonymizer
     from .logs.io import write_jsonl, write_tsv
     from .workload.generator import GeneratorOptions, TraceGenerator
-    from .workload.parallel import generate_sharded
+    from .workload.parallel import generate_columnar_sharded
 
     if args.workers < 1:
         print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
@@ -55,67 +57,62 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     options = GeneratorOptions(max_chunks_per_file=args.max_chunks)
     writer = write_jsonl if args.output.endswith((".jsonl", ".jsonl.gz")) else write_tsv
     n_shards = args.shards or args.workers
-    if n_shards > 1 or args.workers > 1:
-        # Sharded path: workers write sorted part files into a scratch
-        # directory, then the k-way merge streams one time-sorted trace
-        # into the output.  Record-identical to the serial path for any
-        # (--shards, --workers) — see docs/SCALING.md.
-        output = Path(args.output)
-        output.parent.mkdir(parents=True, exist_ok=True)
-        with tempfile.TemporaryDirectory(
-            prefix=output.name + ".parts-", dir=output.parent
-        ) as scratch:
-            sharded = generate_sharded(
-                args.users,
-                n_pc_only_users=args.pc_users,
-                options=options,
-                seed=args.seed,
-                n_shards=max(n_shards, 1),
-                n_workers=args.workers,
-                part_dir=scratch,
-            )
-            records = sharded.merged()
-            if args.anonymize:
-                records = Anonymizer().anonymize_stream(records)
-            count = writer(records, args.output)
-    else:
+
+    def write(records) -> int:
+        if args.anonymize:
+            records = Anonymizer().anonymize_stream(records)
+        return writer(records, args.output)
+
+    if n_shards == 1:
+        # One shard: stream the serial generator straight to the writer.
         generator = TraceGenerator(
             args.users,
             n_pc_only_users=args.pc_users,
             options=options,
             seed=args.seed,
         )
-        records = generator.generate()
-        if args.anonymize:
-            records = Anonymizer().anonymize_stream(records)
-        count = writer(records, args.output)
+        count = write(generator.generate())
+    else:
+        # Workers write columnar parts into a scratch directory; the k-way
+        # merge streams them back in the serial (user, time) order, so the
+        # file is byte-identical for any --shards and --workers (see
+        # docs/SCALING.md).
+        output = Path(args.output)
+        output.parent.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory(
+            prefix=output.name + ".parts-", dir=output.parent
+        ) as scratch:
+            sharded = generate_columnar_sharded(
+                args.users,
+                n_pc_only_users=args.pc_users,
+                options=options,
+                seed=args.seed,
+                n_shards=n_shards,
+                n_workers=args.workers,
+                part_dir=scratch,
+            )
+            count = write(
+                record
+                for block in sharded.merged_blocks()
+                for record in block.iter_records()
+            )
     print(f"wrote {count:,} records to {args.output}")
     return 0
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     from .core.report import analyze_trace
-    from .logs.io import open_reader, read_columnar
+    from .logs.io import read_columnar
     from .logs.summary import summarize
 
-    if args.engine == "columnar":
-        # Bulk-parse straight into column arrays; LogRecord objects are
-        # only materialized transiently for the streaming summary.
-        trace = read_columnar(args.trace)
-        if not len(trace):
-            print("trace is empty", file=sys.stderr)
-            return 1
-        print(summarize(trace.iter_records()).render())
-        report = analyze_trace(
-            trace, fit_size_model=not args.fast, engine="columnar"
-        )
-    else:
-        records = list(open_reader(args.trace))
-        if not records:
-            print("trace is empty", file=sys.stderr)
-            return 1
-        print(summarize(records).render())
-        report = analyze_trace(records, fit_size_model=not args.fast)
+    # Bulk-parse straight into column arrays; LogRecord objects are only
+    # materialized transiently for the streaming summary.
+    trace = read_columnar(args.trace)
+    if not len(trace):
+        print("trace is empty", file=sys.stderr)
+        return 1
+    print(summarize(trace.iter_records()).render())
+    report = analyze_trace(trace, fit_size_model=not args.fast)
     model = report.interval_model
     print(f"sessions recovered  : {report.session_shares.n_sessions:,}")
     print(
@@ -515,6 +512,10 @@ def _cmd_paper_scale(args: argparse.Namespace) -> int:
         print(f"--block-rows must be >= 1, got {args.block_rows}",
               file=sys.stderr)
         return 2
+    if args.batch_records < 1:
+        print(f"--batch-records must be >= 1, got {args.batch_records}",
+              file=sys.stderr)
+        return 2
     options = GeneratorOptions(max_chunks_per_file=args.max_chunks)
     with tempfile.TemporaryDirectory(dir=args.parts_dir) as scratch:
         sharded = generate_columnar_sharded(
@@ -609,10 +610,11 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--workers", type=int, default=1,
                      help="worker processes for sharded generation "
-                          "(output is identical for any value)")
+                          "(the output file is byte-identical for any "
+                          "value)")
     gen.add_argument("--shards", type=int, default=0,
-                     help="population shards (default: --workers); "
-                          "output is identical for any value")
+                     help="population shards (default: --workers); the "
+                          "output file is byte-identical for any value")
     gen.add_argument("--anonymize", action="store_true",
                      help="pseudonymize user/device ids")
     gen.set_defaults(func=_cmd_generate)
@@ -621,11 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("trace", help="trace path written by 'generate'")
     ana.add_argument("--fast", action="store_true",
                      help="skip the mixture-model fit")
-    ana.add_argument("--engine", choices=("records", "columnar"),
-                     default="records",
-                     help="analysis implementation: per-record objects or "
-                          "the vectorized struct-of-arrays fast path "
-                          "(identical results)")
     ana.set_defaults(func=_cmd_analyze)
 
     exp = sub.add_parser("experiments", help="run the reproduction battery")

@@ -20,11 +20,8 @@ from .engagement import retrieval_return_curves
 from .sessions import (
     IntervalModel,
     SessionClassShares,
-    classify_sessions,
-    file_operation_intervals,
     file_operation_intervals_columnar,
     fit_interval_model,
-    sessionize,
     sessionize_columnar,
 )
 from .session_size import (
@@ -34,7 +31,7 @@ from .session_size import (
     volume_by_ops,
 )
 from .sessions import SessionType
-from .usage import profile_users, profile_users_columnar
+from .usage import profile_users_columnar
 
 
 @dataclass(frozen=True)
@@ -69,55 +66,38 @@ def analyze_trace(
     records: list[LogRecord] | ColumnarTrace,
     *,
     fit_size_model: bool = True,
-    engine: str = "records",
 ) -> FindingsReport:
     """Run the full Section 3 pipeline over a trace.
 
-    ``engine`` selects the sessionization/profiling implementation:
-    ``"records"`` walks :class:`LogRecord` objects one at a time;
-    ``"columnar"`` converts the trace to a struct-of-arrays
-    :class:`~repro.logs.columnar.ColumnarTrace` (or takes one directly)
-    and runs the vectorized fast paths, which are equivalence-tested to
-    recover identical sessions, tallies and profiles.  The remaining
-    figure-level statistics are engine-independent.
+    ``records`` is a record list or a struct-of-arrays
+    :class:`~repro.logs.columnar.ColumnarTrace`; either way the trace is
+    sessionized and profiled by the vectorized columnar paths.  The
+    per-record implementations (:func:`~repro.core.sessions.sessionize`,
+    :func:`~repro.core.usage.profile_users`,
+    :func:`~repro.core.sessions.file_operation_intervals`) are their test
+    oracle: ``tests/test_columnar_analysis.py`` recomputes the report's
+    findings from them and asserts equality.
 
     Raises ValueError when the trace is too small for some fit; callers
     running on tiny traces can disable the expensive size-model fit.
     """
-    if engine not in ("records", "columnar"):
-        raise ValueError(f"unknown analysis engine: {engine!r}")
-    if engine == "columnar":
-        trace = as_columnar(records)
-        if not len(trace):
-            raise ValueError("empty trace")
-        mobile_trace = trace.select(trace.mobile_mask)
-        mobile = mobile_trace.to_records()
-        interval_model = fit_interval_model(
-            file_operation_intervals_columnar(mobile_trace)
-        )
-        mobile_sessions = sessionize_columnar(
-            mobile_trace, tau=interval_model.tau
-        )
-        sessions = mobile_sessions.to_sessions()
-        shares = mobile_sessions.classify()
-        profiles = profile_users_columnar(trace)
-        all_sessions = sessionize_columnar(
-            trace, tau=interval_model.tau
-        ).to_sessions()
-    else:
-        if isinstance(records, ColumnarTrace):
-            records = records.to_records()
-        if not records:
-            raise ValueError("empty trace")
-        mobile = [r for r in records if r.is_mobile]
-        intervals = file_operation_intervals(mobile)
-        interval_model = fit_interval_model(intervals)
-        sessions = sessionize(mobile, tau=interval_model.tau)
-        shares = classify_sessions(sessions)
-        profiles = profile_users(records)
-        # Engagement counts sessions on every client platform: mobile&PC
-        # users sync their uploads mostly from the PC side.
-        all_sessions = sessionize(records, tau=interval_model.tau)
+    trace = as_columnar(records)
+    if not len(trace):
+        raise ValueError("empty trace")
+    mobile_trace = trace.select(trace.mobile_mask)
+    mobile = mobile_trace.to_records()
+    interval_model = fit_interval_model(
+        file_operation_intervals_columnar(mobile_trace)
+    )
+    mobile_sessions = sessionize_columnar(mobile_trace, tau=interval_model.tau)
+    sessions = mobile_sessions.to_sessions()
+    shares = mobile_sessions.classify()
+    profiles = profile_users_columnar(trace)
+    # Engagement counts sessions on every client platform: mobile&PC
+    # users sync their uploads mostly from the PC side.
+    all_sessions = sessionize_columnar(
+        trace, tau=interval_model.tau
+    ).to_sessions()
 
     bursty = normalized_operating_times(sessions, min_ops=1)
     burstiness_fraction = (

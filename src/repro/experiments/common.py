@@ -39,20 +39,12 @@ from ..logs.columnar import SCHEMA_VERSION, ColumnarTrace
 from ..logs.npz import load_npz
 from ..logs.schema import LogRecord
 from ..workload.generator import GeneratorOptions, TraceGenerator
-from ..workload.parallel import generate_trace_parallel
 
 #: Default experiment scale: large enough for stable statistics, small
 #: enough to generate in seconds.
 DEFAULT_USERS = 2500
 DEFAULT_PC_USERS = 400
 DEFAULT_SEED = 20160814  # the observation week was August 2015; homage only
-
-#: Populations at or above this size opt into sharded parallel generation
-#: (one shard per available core).  The determinism contract guarantees
-#: the records are identical to the serial path, so the threshold only
-#: trades process overhead against core count — small default traces stay
-#: serial and pay nothing.
-PARALLEL_USERS_THRESHOLD = 20_000
 
 #: Environment variable naming the on-disk cache directory.  Unset (and
 #: ``cache_dir=None``) means no disk cache — the strictly-opt-in default.
@@ -87,17 +79,9 @@ def prepared_trace(
     n_pc_users: int = DEFAULT_PC_USERS,
     seed: int = DEFAULT_SEED,
     max_chunks_per_file: int = 6,
-    workers: int | None = None,
     cache_dir: str | Path | None = None,
 ) -> PreparedTrace:
     """Build (once per arguments, per process) the shared experiment trace.
-
-    ``workers`` opts into sharded parallel generation: ``None`` picks it
-    automatically for populations of :data:`PARALLEL_USERS_THRESHOLD`
-    users or more, ``1`` forces the serial path, and any larger value
-    pins the worker count.  Either path yields byte-identical records
-    (the :mod:`repro.workload.parallel` determinism contract), so the
-    memoization key stays meaningful.
 
     ``cache_dir`` names the on-disk NPZ cache directory; ``None`` falls
     back to the :data:`CACHE_ENV` environment variable, and an unset
@@ -112,7 +96,6 @@ def prepared_trace(
         n_pc_users,
         seed,
         max_chunks_per_file,
-        workers,
         str(cache_dir) if cache_dir is not None else None,
     )
 
@@ -123,7 +106,6 @@ def _prepared_trace(
     n_pc_users: int,
     seed: int,
     max_chunks_per_file: int,
-    workers: int | None,
     cache_dir: str | None,
 ) -> PreparedTrace:
     options = GeneratorOptions(max_chunks_per_file=max_chunks_per_file)
@@ -136,7 +118,7 @@ def _prepared_trace(
         prepared = _load_cache(cache_path)
         if prepared is not None:
             return prepared
-    records = _generate_records(n_users, n_pc_users, seed, options, workers)
+    records = _generate_records(n_users, n_pc_users, seed, options)
     # One pass computes the mobile view; sessionize/profile_users consume
     # the shared tuples directly (no defensive list() copies).
     mobile = tuple(r for r in records if r.is_mobile)
@@ -162,27 +144,9 @@ def _generate_records(
     n_pc_users: int,
     seed: int,
     options: GeneratorOptions,
-    workers: int | None,
 ) -> tuple[LogRecord, ...]:
     global GENERATION_CALLS
     GENERATION_CALLS += 1
-    if workers is None:
-        workers = (
-            os.cpu_count() or 1
-            if n_users + n_pc_users >= PARALLEL_USERS_THRESHOLD
-            else 1
-        )
-    if workers > 1:
-        return tuple(
-            generate_trace_parallel(
-                n_users,
-                n_pc_only_users=n_pc_users,
-                options=options,
-                seed=seed,
-                n_shards=workers,
-                n_workers=workers,
-            )
-        )
     generator = TraceGenerator(
         n_users,
         n_pc_only_users=n_pc_users,

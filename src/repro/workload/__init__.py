@@ -39,16 +39,10 @@ from .generator import (
     user_rng,
 )
 from .parallel import (
-    ShardedTrace,
-    ShardPart,
+    ColumnarShardedTrace,
+    ColumnarShardPart,
     ShardTask,
-    generate_columnar_parallel,
-    generate_shard,
-    generate_sharded,
-    generate_trace_parallel,
-    generate_trace_to_file,
-    merge_key,
-    merge_shards,
+    generate_columnar_sharded,
     partition_users,
     shard_of_user,
 )
@@ -78,6 +72,8 @@ from .sessions import (
 
 __all__ = [
     "ActivityModel",
+    "ColumnarShardPart",
+    "ColumnarShardedTrace",
     "DeferralPolicy",
     "DeviceGroup",
     "DeviceModel",
@@ -103,9 +99,7 @@ __all__ = [
     "SessionPlan",
     "SessionPlanner",
     "SharedObject",
-    "ShardPart",
     "ShardTask",
-    "ShardedTrace",
     "TraceGenerator",
     "UserMixModel",
     "UserSpec",
@@ -116,16 +110,10 @@ __all__ = [
     "build_population",
     "corpus_bytes",
     "evaluate_deferral",
-    "generate_columnar_parallel",
-    "generate_shard",
-    "generate_sharded",
+    "generate_columnar_sharded",
     "generate_trace",
-    "generate_trace_parallel",
-    "generate_trace_to_file",
     "folded_load",
     "hourly_load",
-    "merge_key",
-    "merge_shards",
     "mobile_backup_stream",
     "partition_users",
     "pc_sync_stream",

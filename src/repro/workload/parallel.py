@@ -6,8 +6,10 @@ on a single core.  This module partitions the population into ``K``
 deterministic shards and generates them on worker processes, preserving a
 strict determinism contract:
 
-**Determinism contract.**  For a fixed master seed, the multiset of
-records produced is identical regardless of the number of shards, the
+**Determinism contract.**  For a fixed master seed, the merged sharded
+stream is record-for-record identical to the serial trace
+(:func:`~repro.workload.generator.generate_trace`) — same records, same
+order, same session ids — regardless of the number of shards, the
 number of workers, or worker scheduling.  Three properties make this
 hold:
 
@@ -19,24 +21,21 @@ hold:
    (``user_id * SESSION_ID_STRIDE + k``), so no cross-user counter leaks
    scheduling order into the output.
 3. Shard assignment is a pure function of ``user_id`` and the shard
-   count (:func:`shard_of_user`), and every worker rebuilds the same
-   deterministic population from ``(n_mobile_users, n_pc_only_users,
-   config, seed)``.
+   count (:func:`shard_of_user`), and the parent builds the
+   deterministic population once and hands each worker its shard.
 
-Each shard's records are sorted by the total order :func:`merge_key` =
-``(timestamp, user_id)`` and streamed to a per-shard TSV/JSONL part file
-through :mod:`repro.logs.io`; :func:`merge_shards` is a k-way heap merge
-over the part files, so downstream analyses see one globally
-timestamp-sorted stream without ever materializing the trace in memory.
-Ties within one ``(timestamp, user_id)`` key keep the user's emission
-order, which is well-defined because a user lives in exactly one shard.
+Each worker streams its users, in ascending ``user_id`` order, to a
+memory-mappable columnar part directory (:mod:`repro.logs.parts`), so
+every part is ``(user_id, timestamp)``-sorted on disk.
+:meth:`ColumnarShardedTrace.merged_blocks` k-way merges the parts into
+that global order — the serial generator's emission order.  Ties within
+one ``(user_id, timestamp)`` key keep the user's emission order, which is
+well-defined because a user lives in exactly one shard.
 """
 
 from __future__ import annotations
 
-import heapq
 import os
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,18 +46,17 @@ from ..logs.columnar import (
     ColumnarTrace,
     merge_columnar_sorted,
 )
-from ..logs.io import open_reader, read_columnar, write_jsonl, write_tsv
 from ..logs.parts import ColumnarPartWriter, read_columnar_part
 from ..logs.schema import LogRecord
 from .config import WorkloadConfig
 from .generator import GeneratorOptions, TraceGenerator
 from .population import UserSpec, build_population
 
-#: Part files are named ``part-0042.tsv`` etc. inside the part directory.
+#: Part directories are named ``part-0042.cols`` inside the part directory.
 PART_STEM = "part"
 
-#: Records a columnar-part worker buffers before appending them to the
-#: part files.  Bounds worker RSS at O(batch), independent of shard size.
+#: Records a worker buffers before appending them to its part files.
+#: Bounds worker RSS at O(batch), independent of shard size.
 DEFAULT_PART_BATCH_RECORDS = 65_536
 
 
@@ -95,16 +93,6 @@ def partition_users(
     return shards
 
 
-def merge_key(record: LogRecord) -> tuple[float, int]:
-    """Total-order sort key for shard files and the k-way merge.
-
-    ``(timestamp, user_id)`` is total across shards because equal keys can
-    only collide within a single user (one shard), where stable sorting
-    preserves the generator's emission order.
-    """
-    return (record.timestamp, record.user_id)
-
-
 # ----------------------------------------------------------------------
 # Shard execution
 # ----------------------------------------------------------------------
@@ -112,346 +100,21 @@ def merge_key(record: LogRecord) -> tuple[float, int]:
 
 @dataclass(frozen=True)
 class ShardTask:
-    """Everything a worker needs to regenerate one shard from scratch."""
+    """Everything a worker needs to generate one shard."""
 
     shard_index: int
-    n_shards: int
     n_mobile_users: int
     n_pc_only_users: int
     config: WorkloadConfig | None
     options: GeneratorOptions | None
     seed: int
-    #: Destination part file; ``None`` returns records in memory instead.
-    path: str | None
-    #: This shard's prebuilt user specs.  ``None`` makes the worker
-    #: rebuild the (deterministic) population and partition it itself —
-    #: same output, one redundant population build per worker.
-    users: tuple[UserSpec, ...] | None = None
-    #: Record batch size for the columnar-part worker (ignored by the
-    #: TSV/JSONL and in-memory workers).
+    #: Destination part directory.
+    path: str
+    #: This shard's prebuilt user specs (from the parent's one
+    #: :func:`build_population` call).
+    users: tuple[UserSpec, ...]
+    #: Records the worker buffers between part appends.
     batch_records: int = DEFAULT_PART_BATCH_RECORDS
-
-
-@dataclass(frozen=True)
-class ShardPart:
-    """One generated shard: its part file (if any) and bookkeeping."""
-
-    shard_index: int
-    path: str | None
-    n_records: int
-    n_users: int
-    records: tuple[LogRecord, ...] = ()
-
-    def __iter__(self) -> Iterator[LogRecord]:
-        if self.path is None:
-            return iter(self.records)
-        return open_reader(self.path)
-
-    def columnar(self) -> ColumnarTrace:
-        """Load this part as a :class:`ColumnarTrace` (bulk parse).
-
-        The record iterator above re-parses the part file into one
-        :class:`LogRecord` object per line; this path goes through the
-        chunked columnar readers in :mod:`repro.logs.io` instead — no
-        per-record objects, an order of magnitude faster on large parts.
-        Prefer it (or :func:`generate_columnar_sharded`, which skips text
-        entirely) for anything beyond record-at-a-time debugging.
-        """
-        if self.path is None:
-            return ColumnarTrace.from_records(self.records)
-        return read_columnar(self.path)
-
-
-def generate_shard(task: ShardTask) -> ShardPart:
-    """Generate one shard's records, sorted by :func:`merge_key`.
-
-    Runs in a worker process: takes the shard's users from the task (or
-    rebuilds the deterministic population and partitions it), then either
-    streams the sorted records to ``task.path`` via :mod:`repro.logs.io`
-    or returns them in memory.
-    """
-    generator = TraceGenerator(
-        task.n_mobile_users,
-        n_pc_only_users=task.n_pc_only_users,
-        config=task.config,
-        options=task.options,
-        seed=task.seed,
-        population=list(task.users) if task.users is not None else None,
-    )
-    users = (
-        list(task.users)
-        if task.users is not None
-        else partition_users(generator.population, task.n_shards)[task.shard_index]
-    )
-    records = [r for user in users for r in generator.generate_user(user)]
-    records.sort(key=merge_key)
-    if task.path is None:
-        return ShardPart(
-            shard_index=task.shard_index,
-            path=None,
-            n_records=len(records),
-            n_users=len(users),
-            records=tuple(records),
-        )
-    writer = (
-        write_jsonl
-        if task.path.endswith((".jsonl", ".jsonl.gz"))
-        else write_tsv
-    )
-    count = writer(records, task.path)
-    return ShardPart(
-        shard_index=task.shard_index,
-        path=task.path,
-        n_records=count,
-        n_users=len(users),
-    )
-
-
-# ----------------------------------------------------------------------
-# Orchestration and merging
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedTrace:
-    """The output of a sharded generation run."""
-
-    parts: tuple[ShardPart, ...]
-
-    @property
-    def n_records(self) -> int:
-        return sum(part.n_records for part in self.parts)
-
-    @property
-    def paths(self) -> list[str]:
-        return [part.path for part in self.parts if part.path is not None]
-
-    def merged(self) -> Iterator[LogRecord]:
-        """One globally time-sorted stream over all shards."""
-        return heapq.merge(*self.parts, key=merge_key)
-
-
-def merge_shards(paths: Sequence[str | Path]) -> Iterator[LogRecord]:
-    """K-way merge of sorted part files into one time-sorted stream.
-
-    Holds one record per shard in memory; output is non-decreasing in
-    :func:`merge_key` provided each part file is sorted by it (which
-    :func:`generate_shard` guarantees).
-    """
-    return heapq.merge(*(open_reader(p) for p in paths), key=merge_key)
-
-
-def _resolve_workers(n_shards: int, n_workers: int | None) -> int:
-    if n_workers is None:
-        n_workers = min(n_shards, os.cpu_count() or 1)
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-    return min(n_workers, n_shards)
-
-
-def generate_sharded(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-    part_dir: str | Path | None = None,
-    part_format: str = "tsv",
-) -> ShardedTrace:
-    """Generate a trace as ``n_shards`` sorted shards on worker processes.
-
-    Parameters
-    ----------
-    n_shards:
-        Number of deterministic population shards.  The merged output is
-        identical for every value (the determinism contract).
-    n_workers:
-        Worker processes; defaults to ``min(n_shards, cpu_count)``.  With
-        one worker, shards run inline in this process (no pool overhead,
-        same output).
-    part_dir:
-        Directory receiving ``part-NNNN.<fmt>`` files.  When ``None``,
-        shards are returned in memory on the :class:`ShardPart` objects —
-        records then round-trip through pickle instead of a file, keeping
-        full float precision.
-    part_format:
-        ``"tsv"`` or ``"jsonl"`` (optionally with a ``.gz`` suffix, e.g.
-        ``"tsv.gz"``), for ``part_dir`` mode.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    stem_format = part_format.removesuffix(".gz")
-    if stem_format not in ("tsv", "jsonl"):
-        raise ValueError(f"unsupported part format: {part_format!r}")
-    n_workers = _resolve_workers(n_shards, n_workers)
-    if part_dir is not None:
-        part_dir = Path(part_dir)
-        part_dir.mkdir(parents=True, exist_ok=True)
-    # Build the population once here and hand each worker only its shard,
-    # so workers skip the redundant O(population) rebuild.  build_population
-    # validates the counts as a side effect.
-    population = build_population(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config or WorkloadConfig(),
-        seed=seed,
-    )
-    shards = partition_users(population, n_shards)
-    tasks = [
-        ShardTask(
-            shard_index=index,
-            n_shards=n_shards,
-            n_mobile_users=n_mobile_users,
-            n_pc_only_users=n_pc_only_users,
-            config=config,
-            options=options,
-            seed=seed,
-            path=(
-                str(part_dir / f"{PART_STEM}-{index:04d}.{part_format}")
-                if part_dir is not None
-                else None
-            ),
-            users=tuple(shards[index]),
-        )
-        for index in range(n_shards)
-    ]
-    if n_workers == 1:
-        parts = [generate_shard(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(generate_shard, tasks))
-    return ShardedTrace(parts=tuple(parts))
-
-
-def generate_trace_parallel(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-) -> list[LogRecord]:
-    """Parallel drop-in for :func:`repro.workload.generator.generate_trace`.
-
-    Generates in-memory shards on worker processes and returns the exact
-    record list the serial generator would produce — same records, same
-    order (the serial generator emits users in ascending ``user_id`` with
-    each user time-sorted, so sorting the merged stream by ``(user_id,
-    timestamp)`` reconstructs it; the sort is stable and a user's
-    within-timestamp ties keep their emission order).
-
-    .. deprecated:: use only where :class:`LogRecord` objects are the
-       point (record-path equivalence tests, small debugging runs).  The
-       per-record materialization caps this path far below paper scale;
-       :func:`generate_columnar_parallel` returns the same trace as
-       arrays, and :func:`generate_columnar_sharded` streams it through
-       memory-mapped parts without materializing anything.
-    """
-    sharded = generate_sharded(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config,
-        options=options,
-        seed=seed,
-        n_shards=n_shards,
-        n_workers=n_workers,
-        part_dir=None,
-    )
-    records = [r for part in sharded.parts for r in part.records]
-    records.sort(key=lambda r: (r.user_id, r.timestamp))
-    return records
-
-
-def _generate_shard_columnar(task: ShardTask) -> ColumnarTrace:
-    """Worker: generate one shard and return it as column arrays.
-
-    The worker streams its users' records straight into a
-    :class:`ColumnarTrace` (records exist one user at a time and are
-    dropped immediately), so what crosses the process boundary — and what
-    the parent concatenates — is a handful of NumPy arrays, never a
-    per-record object graph.  Rows are left in emission order (users in
-    shard order, each user time-sorted); the parent's lexsort establishes
-    the global order.
-    """
-    generator = TraceGenerator(
-        task.n_mobile_users,
-        n_pc_only_users=task.n_pc_only_users,
-        config=task.config,
-        options=task.options,
-        seed=task.seed,
-        population=list(task.users) if task.users is not None else None,
-    )
-    users = (
-        list(task.users)
-        if task.users is not None
-        else partition_users(generator.population, task.n_shards)[task.shard_index]
-    )
-    return ColumnarTrace.from_records(
-        r for user in users for r in generator.generate_user(user)
-    )
-
-
-def generate_columnar_parallel(
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-) -> ColumnarTrace:
-    """Columnar counterpart of :func:`generate_trace_parallel`.
-
-    Workers return struct-of-arrays shards which the parent concatenates
-    and stably lexsorts by ``(user_id, timestamp)`` — the serial
-    generator's emission order — so
-    ``generate_columnar_parallel(...).to_records()`` equals
-    ``generate_trace(...)`` record for record (and field for field: arrays
-    round-trip through pickle at full float precision).  The parent never
-    materializes a single :class:`LogRecord`.
-
-    Note that worker results still cross the process boundary as pickled
-    arrays and the parent holds — then lexsorts — the whole trace, so
-    peak RSS is O(records).  :func:`generate_columnar_sharded` produces
-    the identical stream through memory-mapped part files in
-    O(block × shards) memory; prefer it beyond a few million records.
-    """
-    if n_shards < 1:
-        raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-    n_workers = _resolve_workers(n_shards, n_workers)
-    population = build_population(
-        n_mobile_users,
-        n_pc_only_users=n_pc_only_users,
-        config=config or WorkloadConfig(),
-        seed=seed,
-    )
-    shards = partition_users(population, n_shards)
-    tasks = [
-        ShardTask(
-            shard_index=index,
-            n_shards=n_shards,
-            n_mobile_users=n_mobile_users,
-            n_pc_only_users=n_pc_only_users,
-            config=config,
-            options=options,
-            seed=seed,
-            path=None,
-            users=tuple(shards[index]),
-        )
-        for index in range(n_shards)
-    ]
-    if n_workers == 1:
-        parts = [_generate_shard_columnar(task) for task in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_generate_shard_columnar, tasks))
-    return ColumnarTrace.concatenate(parts).sorted_by_user_time()
 
 
 @dataclass(frozen=True)
@@ -477,30 +140,22 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
     most ``task.batch_records`` records exist at a time, whatever the
     shard size.  Only the part *path* crosses back to the parent.
     """
-    if task.path is None:
-        raise ValueError("columnar part generation needs a part path")
     generator = TraceGenerator(
         task.n_mobile_users,
         n_pc_only_users=task.n_pc_only_users,
         config=task.config,
         options=task.options,
         seed=task.seed,
-        population=list(task.users) if task.users is not None else None,
-    )
-    users = (
-        list(task.users)
-        if task.users is not None
-        else partition_users(generator.population, task.n_shards)[task.shard_index]
+        population=list(task.users),
     )
     # The population is built in ascending user_id order already; sorting
     # makes the part's sort invariant locally evident (and is a no-op).
-    users.sort(key=lambda user: user.user_id)
-    batch_records = max(1, task.batch_records)
+    users = sorted(task.users, key=lambda user: user.user_id)
     with ColumnarPartWriter(task.path) as writer:
         buffer: list[LogRecord] = []
         for user in users:
             buffer.extend(generator.generate_user(user))
-            if len(buffer) >= batch_records:
+            if len(buffer) >= task.batch_records:
                 writer.append(ColumnarTrace.from_records(buffer))
                 buffer.clear()
         if buffer:
@@ -512,6 +167,11 @@ def _generate_shard_part(task: ShardTask) -> ColumnarShardPart:
         n_records=n_records,
         n_users=len(users),
     )
+
+
+# ----------------------------------------------------------------------
+# Orchestration and merging
+# ----------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -545,16 +205,24 @@ class ColumnarShardedTrace:
     ) -> Iterator[ColumnarTrace]:
         """Stream the global ``(user_id, timestamp)`` order in blocks.
 
-        Concatenating the blocks reproduces
-        ``generate_columnar_parallel(...)`` byte for byte, but peak RSS
-        is O(``block_rows`` × shards): sources are memory-mapped and the
-        merge buffers one window per shard.
+        The blocks' rows, in order, are the records
+        :func:`~repro.workload.generator.generate_trace` returns, but
+        peak RSS is O(``block_rows`` × shards): sources are memory-mapped
+        and the merge buffers one window per shard.
         """
         return merge_columnar_sorted(
             self.open_parts(mmap=mmap),
             block_rows=block_rows,
             order="user_time",
         )
+
+
+def _resolve_workers(n_shards: int, n_workers: int | None) -> int:
+    if n_workers is None:
+        n_workers = min(n_shards, os.cpu_count() or 1)
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+    return min(n_workers, n_shards)
 
 
 def generate_columnar_sharded(
@@ -571,20 +239,32 @@ def generate_columnar_sharded(
 ) -> ColumnarShardedTrace:
     """Generate a trace as memory-mappable columnar shard parts.
 
-    The paper-scale entry point: workers stream their shards to
-    ``part_dir/part-NNNN.cols/`` directories (worker RSS bounded by
-    ``batch_records``) and hand back paths; the parent pickles no arrays
-    and holds no records.  Follow with
-    :meth:`ColumnarShardedTrace.merged_blocks` to analyze the global
-    stream in bounded memory.  The determinism contract of this module
-    applies unchanged: the merged stream is identical for every shard
-    and worker count.
+    Workers stream their shards to ``part_dir/part-NNNN.cols/``
+    directories (worker RSS bounded by ``batch_records``) and hand back
+    paths; the parent pickles no arrays and holds no records.  Follow
+    with :meth:`ColumnarShardedTrace.merged_blocks` to read the global
+    stream in bounded memory.
+
+    Parameters
+    ----------
+    n_shards:
+        Number of deterministic population shards.  The merged stream is
+        identical for every value (the determinism contract).
+    n_workers:
+        Worker processes; defaults to ``min(n_shards, cpu_count)``.  With
+        one worker, shards run inline in this process (no pool overhead,
+        same output).
     """
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
+    if batch_records < 1:
+        raise ValueError(f"batch_records must be >= 1, got {batch_records}")
     n_workers = _resolve_workers(n_shards, n_workers)
     part_dir = Path(part_dir)
     part_dir.mkdir(parents=True, exist_ok=True)
+    # Build the population once here and hand each worker only its shard,
+    # so workers skip the O(population) rebuild.  build_population
+    # validates the counts as a side effect.
     population = build_population(
         n_mobile_users,
         n_pc_only_users=n_pc_only_users,
@@ -595,7 +275,6 @@ def generate_columnar_sharded(
     tasks = [
         ShardTask(
             shard_index=index,
-            n_shards=n_shards,
             n_mobile_users=n_mobile_users,
             n_pc_only_users=n_pc_only_users,
             config=config,
@@ -613,41 +292,3 @@ def generate_columnar_sharded(
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
             parts = list(pool.map(_generate_shard_part, tasks))
     return ColumnarShardedTrace(parts=tuple(parts))
-
-
-def generate_trace_to_file(
-    output: str | Path,
-    n_mobile_users: int,
-    *,
-    n_pc_only_users: int = 0,
-    config: WorkloadConfig | None = None,
-    options: GeneratorOptions | None = None,
-    seed: int = 0,
-    n_shards: int = 4,
-    n_workers: int | None = None,
-) -> int:
-    """Generate shards in a scratch directory and merge into ``output``.
-
-    The output file is globally timestamp-sorted (merge order), written in
-    the format implied by its extension.  Returns the record count.
-    """
-    output = Path(output)
-    suffix = "".join(output.suffixes)
-    part_format = "jsonl" if ".jsonl" in suffix else "tsv"
-    writer = write_jsonl if part_format == "jsonl" else write_tsv
-    output.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(
-        prefix=output.name + ".parts-", dir=output.parent
-    ) as scratch:
-        sharded = generate_sharded(
-            n_mobile_users,
-            n_pc_only_users=n_pc_only_users,
-            config=config,
-            options=options,
-            seed=seed,
-            n_shards=n_shards,
-            n_workers=n_workers,
-            part_dir=scratch,
-            part_format=part_format,
-        )
-        return writer(sharded.merged(), output)

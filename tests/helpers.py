@@ -1,10 +1,8 @@
 """Shared test helpers: the trace canonicalizer.
 
-The serial generator emits records grouped by user while the sharded
-engine merges shards into a globally time-sorted stream, so the two
-equal traces arrive in different orders — and a trace that round-tripped
-through a TSV part file carries floats quantized to the format's 6
-decimal places.  :func:`canonical_lines` maps any of those
+Equal traces can arrive in different record orders, and a trace that
+round-tripped through a TSV file carries floats quantized to the
+format's 6 decimal places.  :func:`canonical_lines` maps any of those
 representations of the same trace to one canonical form so equivalence
 asserts are record-for-record string comparisons:
 
@@ -14,9 +12,8 @@ asserts are record-for-record string comparisons:
   (which ``LogRecord.__eq__`` deliberately ignores);
 * lines are stable-sorted by the serialized ``(timestamp, user_id)``
   key.  The key is total across users; within one user, equal-timestamp
-  records keep their emission order in every representation (per-user
-  streams are never split across shards), so the stable sort yields one
-  well-defined order.
+  records keep their emission order in every representation, so the
+  stable sort yields one well-defined order.
 """
 
 from __future__ import annotations

@@ -22,26 +22,55 @@ def test_generate_and_analyze_roundtrip(tmp_path, capsys):
 
 
 def test_analyze_columnar_engine(tmp_path, capsys):
-    trace = tmp_path / "trace.tsv"
-    main(["generate", str(trace), "--users", "150",
-          "--max-chunks", "4", "--seed", "3"])
+    """analyze bulk-parses TSV and JSONL into the same columns, so one
+    trace prints identical findings from either format."""
+    tsv = tmp_path / "trace.tsv"
+    jsonl = tmp_path / "trace.jsonl"
+    for path in (tsv, jsonl):
+        main(["generate", str(path), "--users", "150",
+              "--max-chunks", "4", "--seed", "3"])
     capsys.readouterr()
 
-    assert main(["analyze", str(trace), "--fast",
-                 "--engine", "columnar"]) == 0
-    columnar_out = capsys.readouterr().out
-    assert "sessions recovered" in columnar_out
+    assert main(["analyze", str(tsv), "--fast"]) == 0
+    tsv_out = capsys.readouterr().out
+    assert "sessions recovered" in tsv_out
+    assert main(["analyze", str(jsonl), "--fast"]) == 0
+    assert capsys.readouterr().out == tsv_out
 
-    assert main(["analyze", str(trace), "--fast"]) == 0
-    records_out = capsys.readouterr().out
-    # The engines print identical findings for the same trace.
-    assert columnar_out == records_out
+
+def test_analyze_rejects_engine_flag(tmp_path, capsys):
+    """analyze has one implementation, so argparse rejects ``--engine``."""
+    trace = tmp_path / "trace.tsv"
+    main(["generate", str(trace), "--users", "40", "--seed", "3"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit):
+        main(["analyze", str(trace), "--engine", "columnar"])
 
 
 def test_analyze_columnar_empty_trace(tmp_path):
-    trace = tmp_path / "empty.tsv"
-    trace.write_text("#header\n")
-    assert main(["analyze", str(trace), "--engine", "columnar"]) == 1
+    """An empty JSONL trace goes through the columnar bulk parser too."""
+    trace = tmp_path / "empty.jsonl"
+    trace.write_text("")
+    assert main(["analyze", str(trace)]) == 1
+
+
+@pytest.mark.parametrize("anonymize", [False, True], ids=["plain", "anonymized"])
+def test_generate_byte_identical_across_workers_and_shards(
+    tmp_path, capsys, anonymize
+):
+    base = ["--users", "60", "--pc-users", "10", "--max-chunks", "2",
+            "--seed", "9"] + (["--anonymize"] if anonymize else [])
+    serial = tmp_path / "serial.tsv"
+    sharded = tmp_path / "sharded.tsv"
+    assert main(["generate", str(serial), *base, "--workers", "1"]) == 0
+    assert main(["generate", str(sharded), *base,
+                 "--workers", "2", "--shards", "3"]) == 0
+    capsys.readouterr()
+    assert sharded.read_bytes() == serial.read_bytes()
+    # The scratch part directory is cleaned up.
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "serial.tsv", "sharded.tsv"
+    ]
 
 
 def test_generate_jsonl_gz(tmp_path, capsys):
@@ -169,6 +198,7 @@ def test_paper_scale_json_output(capsys):
 def test_paper_scale_rejects_bad_arguments(capsys):
     assert main(["paper-scale", "--users", "0"]) == 2
     assert main(["paper-scale", "--users", "10", "--block-rows", "0"]) == 2
+    assert main(["paper-scale", "--users", "10", "--batch-records", "0"]) == 2
     capsys.readouterr()
 
 

@@ -3,25 +3,37 @@
 The vectorized sessionization, tallies, intervals and profiles must
 recover *identical* results to the per-record reference implementations —
 these tests compare them element for element on a generated trace with
-mobile, PC and multi-device users.  Ordering differs by construction (the
+mobile, PC and multi-device users.  The record implementations are the
+oracle: :func:`analyze_trace` runs only the columnar paths, and
+:func:`record_findings` recomputes its findings from the record
+functions.  Ordering differs by construction (the
 record path walks users in first-appearance order, the columnar path in
 ascending ``user_id``), so list comparisons sort both sides on a total
 key first.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.core.activity import fit_activity_model
+from repro.core.burstiness import normalized_operating_times
+from repro.core.engagement import retrieval_return_curves
 from repro.core.report import analyze_trace
+from repro.core.session_size import storage_slope_mb, volume_by_ops
 from repro.core.sessions import (
+    SessionType,
     classify_sessions,
     file_operation_intervals,
     file_operation_intervals_columnar,
+    fit_interval_model,
     sessionize,
     sessionize_columnar,
 )
 from repro.core.usage import profile_users, profile_users_columnar
-from repro.logs.columnar import as_columnar
+from repro.logs.columnar import ColumnarTrace, as_columnar
+from repro.logs.schema import Direction
 from repro.logs.stream import (
     devices_by_user,
     devices_by_user_columnar,
@@ -30,8 +42,9 @@ from repro.logs.stream import (
     tally_by_user,
     tally_by_user_columnar,
 )
+from repro.workload.config import DeviceGroup
 from repro.workload.generator import GeneratorOptions, generate_trace
-from repro.workload.parallel import generate_columnar_parallel
+from repro.workload.parallel import generate_columnar_sharded
 
 
 @pytest.fixture(scope="module")
@@ -109,72 +122,113 @@ def test_profiles_equivalent(records, trace):
     assert profile_users_columnar(trace) == reference
 
 
+MOBILE_GROUPS = (DeviceGroup.ONE_MOBILE, DeviceGroup.MULTI_MOBILE)
+
+
+def record_findings(records):
+    """:func:`analyze_trace`'s findings, composed from the record functions."""
+    mobile = [r for r in records if r.is_mobile]
+    interval_model = fit_interval_model(file_operation_intervals(mobile))
+    sessions = sessionize(mobile, tau=interval_model.tau)
+    profiles = profile_users(records)
+    all_sessions = sessionize(records, tau=interval_model.tau)
+    bursty = normalized_operating_times(sessions, min_ops=1)
+    store_bins = volume_by_ops(sessions, SessionType.STORE_ONLY, max_files=100)
+    mobile_profiles = [p for p in profiles if p.group in MOBILE_GROUPS]
+    curves = [
+        c
+        for c in retrieval_return_curves(all_sessions, profiles)
+        if c.group in MOBILE_GROUPS
+    ]
+    return SimpleNamespace(
+        interval_model=interval_model,
+        session_shares=classify_sessions(sessions),
+        burstiness_fraction=float((bursty < 0.1).mean()),
+        storage_slope_mb=(
+            storage_slope_mb(store_bins) if len(store_bins) >= 2 else float("nan")
+        ),
+        upload_only_share=sum(
+            p.user_type.value == "upload_only" for p in mobile_profiles
+        ) / len(mobile_profiles),
+        never_retrieve_fraction=sum(
+            c.never_fraction * c.n_uploaders for c in curves
+        ) / sum(c.n_uploaders for c in curves),
+        store_activity=fit_activity_model(mobile, Direction.STORE),
+    )
+
+
 def test_analyze_trace_engines_agree(records, trace):
-    record_report = analyze_trace(records, fit_size_model=False)
-    columnar_report = analyze_trace(
-        trace, fit_size_model=False, engine="columnar"
-    )
-    assert (
-        columnar_report.interval_model.tau == record_report.interval_model.tau
-    )
-    assert columnar_report.session_shares == record_report.session_shares
-    assert (
-        columnar_report.burstiness_fraction
-        == record_report.burstiness_fraction
-    )
-    assert columnar_report.upload_only_share == pytest.approx(
-        record_report.upload_only_share
-    )
-    assert columnar_report.never_retrieve_fraction == pytest.approx(
-        record_report.never_retrieve_fraction
-    )
-    assert np.isnan(columnar_report.storage_slope_mb) == np.isnan(
-        record_report.storage_slope_mb
-    )
-    if not np.isnan(record_report.storage_slope_mb):
-        assert columnar_report.storage_slope_mb == pytest.approx(
-            record_report.storage_slope_mb
+    """analyze_trace (columnar) == the record-function oracle, whether it
+    is handed records or a ColumnarTrace."""
+    oracle = record_findings(records)
+    for given in (records, trace):
+        report = analyze_trace(given, fit_size_model=False)
+        assert report.interval_model.tau == oracle.interval_model.tau
+        assert report.session_shares == oracle.session_shares
+        assert report.burstiness_fraction == oracle.burstiness_fraction
+        assert report.upload_only_share == pytest.approx(
+            oracle.upload_only_share
+        )
+        assert report.never_retrieve_fraction == pytest.approx(
+            oracle.never_retrieve_fraction
+        )
+        assert np.isnan(report.storage_slope_mb) == np.isnan(
+            oracle.storage_slope_mb
+        )
+        if not np.isnan(oracle.storage_slope_mb):
+            assert report.storage_slope_mb == pytest.approx(
+                oracle.storage_slope_mb
+            )
+        assert report.store_activity.fit.c == pytest.approx(
+            oracle.store_activity.fit.c
         )
 
 
 def test_analyze_trace_accepts_columnar_for_record_engine(trace, records):
-    report = analyze_trace(trace, fit_size_model=False, engine="records")
+    """A ColumnarTrace and its record list give the same report."""
+    report = analyze_trace(trace, fit_size_model=False)
     reference = analyze_trace(records, fit_size_model=False)
     assert report.session_shares == reference.session_shares
+    assert report.interval_model.tau == reference.interval_model.tau
 
 
-def test_analyze_trace_rejects_unknown_engine(records):
-    with pytest.raises(ValueError, match="unknown analysis engine"):
-        analyze_trace(records, engine="quantum")
+def test_analyze_trace_rejects_empty_trace():
+    for empty in ([], ColumnarTrace.empty()):
+        with pytest.raises(ValueError, match="empty trace"):
+            analyze_trace(empty)
 
 
-def test_generate_columnar_parallel_matches_serial(records):
-    columnar = generate_columnar_parallel(
+def merged_trace(sharded) -> ColumnarTrace:
+    return ColumnarTrace.concatenate(list(sharded.merged_blocks()))
+
+
+def test_generate_columnar_sharded_matches_serial(records, tmp_path):
+    sharded = generate_columnar_sharded(
         90,
         n_pc_only_users=20,
         options=GeneratorOptions(max_chunks_per_file=4),
         seed=7,
         n_shards=3,
         n_workers=2,
+        part_dir=tmp_path,
     )
-    assert columnar.to_records() == records
+    assert merged_trace(sharded).to_records() == records
 
 
-def test_generate_columnar_parallel_single_worker(records):
-    columnar = generate_columnar_parallel(
+def test_generate_columnar_sharded_single_worker(records, tmp_path):
+    sharded = generate_columnar_sharded(
         90,
         n_pc_only_users=20,
         options=GeneratorOptions(max_chunks_per_file=4),
         seed=7,
         n_shards=4,
         n_workers=1,
+        part_dir=tmp_path,
     )
-    assert columnar.to_records() == records
+    assert merged_trace(sharded).to_records() == records
 
 
 def test_sessionize_columnar_empty_and_bad_tau(trace):
-    from repro.logs.columnar import ColumnarTrace
-
     empty = sessionize_columnar(ColumnarTrace.empty())
     assert empty.n_sessions == 0
     assert empty.to_sessions() == []

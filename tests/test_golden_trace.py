@@ -26,10 +26,11 @@ from repro.logs.io import (
     write_jsonl,
     write_tsv,
 )
+from repro.logs.columnar import ColumnarTrace
 from repro.workload import (
     GeneratorOptions,
+    generate_columnar_sharded,
     generate_trace,
-    generate_trace_parallel,
 )
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace.tsv"
@@ -62,16 +63,18 @@ def test_generator_matches_golden_trace(golden_lines):
         assert want == got, f"first drift at record {index}: {want!r} != {got!r}"
 
 
-def test_sharded_generator_matches_golden_trace(golden_lines):
-    sharded = generate_trace_parallel(
+def test_sharded_generator_matches_golden_trace(golden_lines, tmp_path):
+    sharded = generate_columnar_sharded(
         GOLDEN_USERS,
         n_pc_only_users=GOLDEN_PC_USERS,
         options=GOLDEN_OPTIONS,
         seed=GOLDEN_SEED,
         n_shards=3,
         n_workers=1,
+        part_dir=tmp_path,
     )
-    assert [record_to_tsv(r) for r in sharded] == golden_lines
+    merged = ColumnarTrace.concatenate(list(sharded.merged_blocks()))
+    assert [record_to_tsv(r) for r in merged.iter_records()] == golden_lines
 
 
 def test_golden_tsv_round_trip(tmp_path):

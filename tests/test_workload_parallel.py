@@ -1,32 +1,32 @@
 """Sharded parallel generation: determinism-equivalence harness.
 
 The contract under test (see ``docs/SCALING.md``): for a fixed master
-seed the sharded engine produces a trace record-for-record identical to
-the serial generator, for every shard count and worker count, whether
-shards stay in memory or round-trip through part files.
+seed, the merged stream of :func:`generate_columnar_sharded` is
+record-for-record identical to the serial generator — same records, same
+order, same session ids — for every shard count and worker count.  The
+serial :func:`generate_trace` is the oracle throughout.
 """
 
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.helpers import assert_traces_equivalent, canonical_lines
+from repro.logs.columnar import COLUMNS, ColumnarTrace
+from repro.logs.io import open_reader, write_jsonl, write_tsv
 from repro.workload import (
     GeneratorOptions,
     ShardTask,
-    generate_shard,
-    generate_sharded,
+    build_population,
+    generate_columnar_sharded,
     generate_trace,
-    generate_trace_parallel,
-    generate_trace_to_file,
-    merge_key,
-    merge_shards,
     partition_users,
     shard_of_user,
 )
-from repro.logs.io import open_reader
+from repro.workload.parallel import _generate_shard_part
 
 N_USERS = 120
 N_PC_USERS = 25
@@ -49,6 +49,18 @@ def sharded_kwargs(**overrides):
     return kwargs
 
 
+def merged_records(sharded, **kwargs):
+    """The sharded trace's merged stream, materialized as records."""
+    return ColumnarTrace.concatenate(
+        list(sharded.merged_blocks(**kwargs))
+    ).to_records()
+
+
+def session_ids(records):
+    # LogRecord.__eq__ ignores session_id, so compare it explicitly.
+    return [r.session_id for r in records]
+
+
 # ----------------------------------------------------------------------
 # Serial == sharded equivalence
 # ----------------------------------------------------------------------
@@ -58,58 +70,62 @@ def sharded_kwargs(**overrides):
     ("n_shards", "n_workers"),
     [(1, 1), (2, 1), (4, 1), (2, 2), (4, 2)],
 )
-def test_sharded_equals_serial(serial_trace, n_shards, n_workers):
-    parallel = generate_trace_parallel(
+def test_sharded_equals_serial(serial_trace, tmp_path, n_shards, n_workers):
+    sharded = generate_columnar_sharded(
         N_USERS,
         **sharded_kwargs(n_shards=n_shards, n_workers=n_workers),
+        part_dir=tmp_path,
     )
-    assert_traces_equivalent(
-        serial_trace,
-        parallel,
-        label=f"shards={n_shards} workers={n_workers}",
-    )
+    merged = merged_records(sharded)
+    assert merged == serial_trace
+    assert session_ids(merged) == session_ids(serial_trace)
 
 
-def test_parallel_reconstructs_serial_order_exactly(serial_trace):
-    """In-memory mode returns the serial list itself: same records, same
-    order, same session ids (which ``LogRecord.__eq__`` ignores)."""
-    parallel = generate_trace_parallel(
-        N_USERS, **sharded_kwargs(n_shards=4, n_workers=2)
+def test_parallel_reconstructs_serial_order_exactly(serial_trace, tmp_path):
+    """The merged stream is the serial list itself: same records, same
+    order, same session ids, at every merge block size."""
+    sharded = generate_columnar_sharded(
+        N_USERS, **sharded_kwargs(n_shards=4, n_workers=2), part_dir=tmp_path
     )
-    assert parallel == serial_trace
-    assert [r.session_id for r in parallel] == [
-        r.session_id for r in serial_trace
-    ]
+    for block_rows in (1, 97, 1 << 20):
+        merged = merged_records(sharded, block_rows=block_rows)
+        assert merged == serial_trace
+        assert session_ids(merged) == session_ids(serial_trace)
 
 
 @pytest.mark.parametrize("part_format", ["tsv", "jsonl"])
 def test_file_backed_shards_equal_serial(serial_trace, tmp_path, part_format):
-    sharded = generate_sharded(
+    """The merged stream written to a TSV/JSONL file (what ``repro
+    generate`` does) reads back as the serial trace."""
+    sharded = generate_columnar_sharded(
         N_USERS,
         **sharded_kwargs(n_shards=3, n_workers=2),
-        part_dir=tmp_path,
-        part_format=part_format,
+        part_dir=tmp_path / "parts",
     )
     assert sharded.n_records == len(serial_trace)
     assert len(sharded.paths) == 3
-    assert_traces_equivalent(
-        serial_trace, sharded.merged(), label=f"file-backed {part_format}"
-    )
-
-
-def test_generate_trace_to_file_equal_serial(serial_trace, tmp_path):
-    out = tmp_path / "trace.tsv"
-    count = generate_trace_to_file(
-        out, N_USERS, **sharded_kwargs(n_shards=4, n_workers=2)
+    out = tmp_path / f"trace.{part_format}"
+    writer = write_jsonl if part_format == "jsonl" else write_tsv
+    count = writer(
+        (r for block in sharded.merged_blocks() for r in block.iter_records()),
+        out,
     )
     assert count == len(serial_trace)
-    assert_traces_equivalent(serial_trace, open_reader(out), label="to-file")
+    assert_traces_equivalent(
+        serial_trace, open_reader(out), label=f"file-backed {part_format}"
+    )
 
 
-def test_different_seeds_produce_different_sharded_traces():
-    a = generate_trace_parallel(40, options=OPTIONS, seed=1, n_shards=2)
-    b = generate_trace_parallel(40, options=OPTIONS, seed=2, n_shards=2)
-    assert canonical_lines(a) != canonical_lines(b)
+def test_different_seeds_produce_different_sharded_traces(tmp_path):
+    a = generate_columnar_sharded(
+        40, options=OPTIONS, seed=1, n_shards=2, part_dir=tmp_path / "a"
+    )
+    b = generate_columnar_sharded(
+        40, options=OPTIONS, seed=2, n_shards=2, part_dir=tmp_path / "b"
+    )
+    assert canonical_lines(merged_records(a)) != canonical_lines(
+        merged_records(b)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -118,70 +134,79 @@ def test_different_seeds_produce_different_sharded_traces():
 
 
 def shard_task(index, n_shards, path):
+    population = build_population(
+        N_USERS, n_pc_only_users=N_PC_USERS, seed=SEED
+    )
     return ShardTask(
         shard_index=index,
-        n_shards=n_shards,
         n_mobile_users=N_USERS,
         n_pc_only_users=N_PC_USERS,
         config=None,
         options=OPTIONS,
         seed=SEED,
         path=path,
+        users=tuple(partition_users(population, n_shards)[index]),
     )
 
 
 def test_shard_rerun_is_bit_identical(tmp_path):
-    """Re-running one shard task writes a byte-identical part file."""
-    first = tmp_path / "a.tsv"
-    second = tmp_path / "b.tsv"
-    part_a = generate_shard(shard_task(1, 3, str(first)))
-    part_b = generate_shard(shard_task(1, 3, str(second)))
+    """Re-running one shard task writes byte-identical column files."""
+    first = tmp_path / "a.cols"
+    second = tmp_path / "b.cols"
+    part_a = _generate_shard_part(shard_task(1, 3, str(first)))
+    part_b = _generate_shard_part(shard_task(1, 3, str(second)))
     assert part_a.n_records == part_b.n_records
     assert part_a.n_users == part_b.n_users
-    assert first.read_bytes() == second.read_bytes()
+    names = sorted(p.name for p in first.iterdir())
+    assert names == sorted(p.name for p in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_in_memory_shard_rerun_identical():
-    part_a = generate_shard(shard_task(0, 4, None))
-    part_b = generate_shard(shard_task(0, 4, None))
-    assert part_a.records == part_b.records
-    assert [r.session_id for r in part_a.records] == [
-        r.session_id for r in part_b.records
-    ]
+def user_time_keys(trace):
+    return list(zip(trace.user_id.tolist(), trace.timestamp.tolist()))
 
 
 def test_part_files_sorted_by_merge_key(tmp_path):
+    """Every part is sorted by the merge's ``(user_id, timestamp)`` key."""
     for index in range(3):
-        part = generate_shard(
-            shard_task(index, 3, str(tmp_path / f"part-{index}.tsv"))
+        part = _generate_shard_part(
+            shard_task(index, 3, str(tmp_path / f"part-{index}.cols"))
         )
-        keys = [merge_key(r) for r in open_reader(part.path)]
+        keys = user_time_keys(part.open())
         assert keys == sorted(keys)
 
 
 def test_merge_stream_is_globally_sorted(tmp_path):
-    sharded = generate_sharded(
+    sharded = generate_columnar_sharded(
         N_USERS,
         **sharded_kwargs(n_shards=4, n_workers=1),
         part_dir=tmp_path,
     )
     previous = None
     count = 0
-    for record in merge_shards(sharded.paths):
-        key = merge_key(record)
-        if previous is not None:
-            assert key >= previous
-        previous = key
-        count += 1
+    for block in sharded.merged_blocks(block_rows=50):
+        for key in user_time_keys(block):
+            if previous is not None:
+                assert key >= previous
+            previous = key
+            count += 1
     assert count == sharded.n_records
 
 
-def test_merged_iterator_streams_in_memory_parts():
-    sharded = generate_sharded(
-        N_USERS, **sharded_kwargs(n_shards=2, n_workers=1)
+def test_merged_iterator_streams_in_memory_parts(tmp_path):
+    """Parts loaded into memory (``mmap=False``) merge to the same stream
+    as memory-mapped parts."""
+    sharded = generate_columnar_sharded(
+        N_USERS, **sharded_kwargs(n_shards=2, n_workers=1), part_dir=tmp_path
     )
-    keys = [merge_key(r) for r in sharded.merged()]
+    mapped = ColumnarTrace.concatenate(list(sharded.merged_blocks()))
+    loaded = ColumnarTrace.concatenate(list(sharded.merged_blocks(mmap=False)))
+    keys = user_time_keys(loaded)
     assert keys == sorted(keys)
+    assert loaded.device_pool == mapped.device_pool
+    for name, _ in COLUMNS:
+        assert np.array_equal(getattr(loaded, name), getattr(mapped, name))
 
 
 # ----------------------------------------------------------------------
@@ -255,28 +280,35 @@ def test_shard_count_change_reassigns_only_as_documented():
 # ----------------------------------------------------------------------
 
 
-def test_invalid_shard_count_rejected():
+def test_invalid_shard_count_rejected(tmp_path):
     with pytest.raises(ValueError, match="n_shards"):
         shard_of_user(3, 0)
     with pytest.raises(ValueError, match="n_shards"):
-        generate_sharded(10, n_shards=0)
+        generate_columnar_sharded(10, n_shards=0, part_dir=tmp_path)
 
 
-def test_invalid_worker_count_rejected():
+def test_invalid_worker_count_rejected(tmp_path):
     with pytest.raises(ValueError, match="n_workers"):
-        generate_sharded(10, n_shards=2, n_workers=0)
-
-
-def test_invalid_part_format_rejected(tmp_path):
-    with pytest.raises(ValueError, match="part format"):
-        generate_sharded(
-            10, n_shards=2, part_dir=tmp_path, part_format="csv"
+        generate_columnar_sharded(
+            10, n_shards=2, n_workers=0, part_dir=tmp_path
         )
 
 
-def test_more_shards_than_users_still_equivalent():
+def test_invalid_batch_records_rejected(tmp_path):
+    for batch_records in (0, -5):
+        with pytest.raises(ValueError, match="batch_records"):
+            generate_columnar_sharded(
+                10, n_shards=2, part_dir=tmp_path, batch_records=batch_records
+            )
+    # Rejected in the parent, before any part is written.
+    assert not any(tmp_path.iterdir())
+
+
+def test_more_shards_than_users_still_equivalent(tmp_path):
     serial = generate_trace(3, options=OPTIONS, seed=5)
-    parallel = generate_trace_parallel(
-        3, options=OPTIONS, seed=5, n_shards=8, n_workers=1
+    sharded = generate_columnar_sharded(
+        3, options=OPTIONS, seed=5, n_shards=8, n_workers=1, part_dir=tmp_path
     )
-    assert_traces_equivalent(serial, parallel, label="shards>users")
+    merged = merged_records(sharded)
+    assert_traces_equivalent(serial, merged, label="shards>users")
+    assert merged == serial
