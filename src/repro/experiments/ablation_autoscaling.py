@@ -2,17 +2,12 @@
 
 The paper's Section 2.4 reads the diurnal workload as an argument for
 elastic provisioning: peak-sized fleets idle most of the day.  This
-experiment provisions a front-end fleet against the synthetic hourly
-volume three ways — static at the peak, a realistic reactive autoscaler,
-and the perfect-forecast oracle — and checks the economics: the reactive
+experiment drives the fleet controllers of :mod:`repro.service.autoscaler`
+over the synthetic hourly volume (:func:`compare_strategies`): static at
+the peak, a realistic reactive autoscaler, a seasonal predictive one and
+the perfect-forecast oracle.  It checks the economics: the reactive
 policy recovers most of the oracle's savings at a small under-provisioning
-risk.
-
-The reactive arm bootstraps hour 0 from the first hour's load *with
-headroom* (it used to peek at the raw current-hour load, an oracle
-privilege no reactive controller has); on this 169-hour profile that
-costs a few extra server-hours in hour 0 and leaves every check's margin
-intact.
+risk.  The predictive row is reported but not checked.
 """
 
 from __future__ import annotations

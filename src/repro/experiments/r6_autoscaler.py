@@ -1,6 +1,6 @@
 """Experiment R6 — fault-aware and predictive autoscaling under chaos.
 
-A11 priced elasticity on a *closed-form* profile: the controller saw
+A11 priced elasticity on a *planned* profile: the controllers saw
 exact hourly loads and the fleet never actually served anything.  R6
 closes the loop.  The window-by-window autoscaling driver of
 :mod:`repro.service.autoscaler` deploys each chosen fleet size as a real
@@ -197,11 +197,10 @@ def run(
             arms[(strategy, regime)], _ = run_arm(workload, strategy, regime)
     repeat, _ = run_arm(workload, "fault-aware", "correlated")
 
-    # The A11 closed-form margins, re-checked on this workload's planned
-    # profile (the live loop must not have broken the provisioning math).
-    planned = compare_strategies(
-        [float(n) for n in workload.loads], R6_POLICY
-    )
+    # The A11 margins, re-checked by driving the same controllers over
+    # this workload's planned loads with quiet signals (the profile path
+    # of provision(); the live loop must not have broken the math).
+    planned = compare_strategies(workload.loads, R6_POLICY)
 
     result = ExperimentResult(
         experiment="R6",
@@ -299,13 +298,13 @@ def run(
         tolerance=0.0,
     )
     result.add_check(
-        "closed-form: oracle bounds reactive on the planned profile",
+        "profile path: oracle bounds reactive on the planned profile",
         paper=float(planned["reactive"].server_hours) + 0.5,
         measured=float(planned["oracle"].server_hours),
         kind="less",
     )
     result.add_check(
-        "closed-form: static never underprovisions",
+        "profile path: static never underprovisions",
         paper=0.0,
         measured=float(planned["static"].underprovisioned_hours),
         tolerance=0.0,

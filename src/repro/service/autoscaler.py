@@ -4,24 +4,29 @@ Section 2.4's implication: "both storage servers and metadata servers
 would be highly over-provisioned for most of the time, since the server
 capacity is often designed to bear the peak load.  Elastic scale-in and
 scale-out of the service as such are needed."  This module answers that
-at two levels.
+with one policy family, the fleet controllers, driven two ways.
 
-**Closed-form strategies** size a fleet against an hourly load profile:
+Each controller picks the next window's fleet size from the windows it
+has observed so far:
 
-* **static** provisioning for the observed peak;
-* a **reactive** autoscaler that follows the previous hour's load with a
-  headroom factor and scale-down cooldown (the realistic option — it lags
-  surges);
-* a **predictive** autoscaler that forecasts one step ahead from the
-  profile's own seasonality (same-phase hours of previous cycles), with a
+* **static** provisions the planned peak permanently;
+* **reactive** follows the last observed load with a headroom factor and
+  a scale-down cooldown (the realistic option — it lags surges);
+* **predictive** forecasts one window ahead from the load's own
+  seasonality (same-phase windows of previous cycles), with a
   forecast-error guardrail that falls back to follow-the-last-observation
-  when the profile turns out not to be seasonal;
-* the **oracle** lower bound that knows each hour's load in advance.
+  when the load turns out not to be seasonal;
+* **fault-aware** is reactive plus the fault reflexes described below;
+* **oracle** knows each window's load in advance (the cost floor).
 
-Outcomes are server-hours (cost) and under-provisioned hours (SLO risk).
+**On a planned profile** (:func:`provision`, :func:`compare_strategies`,
+experiment A11) every hour of the profile is one window: the controller
+sees the hour's load once the hour is over, and no fault signal ever
+fires.  Outcomes are server-hours (cost) and under-provisioned hours
+(SLO risk).
 
-**The chaos-coupled loop** (:func:`run_autoscaled_service`) evaluates the
-same policy family inside the live service path: a window-by-window
+**The chaos-coupled loop** (:func:`run_autoscaled_service`) drives the
+same controllers inside the live service path: a window-by-window
 simulation where the controller's chosen fleet size becomes the
 ``n_frontends`` of a :class:`~repro.service.cluster.ServiceCluster`
 sharing one :class:`~repro.faults.FaultPlan` across all windows, ops are
@@ -40,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -83,9 +88,10 @@ def _servers_needed(load: float, capacity: float) -> int:
 class AutoscalerPolicy:
     """Scaling policy shared by the whole strategy family.
 
-    The first four knobs drive the closed-form strategies; the rest only
-    matter to the live fault-aware/predictive controllers and default to
-    values that leave the historical strategies untouched.
+    The first five knobs are shared by the family; ``shed_alert`` through
+    ``quiet_cooldown`` only matter to the fault-aware controller, and
+    ``period``/``forecast_guardrail`` only to the predictive one.  Every
+    field must be finite.
 
     Attributes
     ----------
@@ -102,8 +108,9 @@ class AutoscalerPolicy:
     min_servers:
         Floor on the fleet size.
     max_servers:
-        Ceiling on the live-loop fleet (and the size of the shared fault
-        plan, so growing the fleet never reshuffles fault schedules).
+        Ceiling on the fleet (and, in the live loop, the size of the
+        shared fault plan, so growing the fleet never reshuffles fault
+        schedules).
     shed_alert:
         Shed-rate above which the fault-aware controller treats the last
         window as a fault window.
@@ -144,6 +151,11 @@ class AutoscalerPolicy:
     forecast_guardrail: float = 0.5
 
     def __post_init__(self) -> None:
+        # NaN fails no ordered comparison, so the range checks below
+        # cannot catch it on their own.
+        for spec in fields(self):
+            if not math.isfinite(getattr(self, spec.name)):
+                raise ValueError(f"{spec.name} must be finite")
         if self.capacity_per_server <= 0:
             raise ValueError("capacity_per_server must be positive")
         if self.headroom < 1.0:
@@ -175,11 +187,17 @@ class ProvisioningOutcome:
     """Cost and risk of one provisioning strategy over a profile."""
 
     strategy: str
-    server_hours: int
+    #: Fleet size of each hour (window).
+    trajectory: tuple[int, ...]
     underprovisioned_hours: int
-    n_hours: int
-    #: Per-hour fleet sizes (empty for outcomes built before PR 10).
-    trajectory: tuple[int, ...] = ()
+
+    @property
+    def server_hours(self) -> int:
+        return sum(self.trajectory)
+
+    @property
+    def n_hours(self) -> int:
+        return len(self.trajectory)
 
     @property
     def violation_rate(self) -> float:
@@ -190,109 +208,6 @@ class ProvisioningOutcome:
         if other.server_hours <= 0:
             raise ValueError("reference strategy has no cost")
         return 1.0 - self.server_hours / other.server_hours
-
-
-def static_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Provision the peak hour permanently."""
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    fleet = _servers_for(
-        float(loads.max()), policy.capacity_per_server, policy.min_servers
-    )
-    return ProvisioningOutcome(
-        strategy="static",
-        server_hours=fleet * loads.size,
-        underprovisioned_hours=0,
-        n_hours=int(loads.size),
-        trajectory=(fleet,) * int(loads.size),
-    )
-
-
-def oracle_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Perfect-forecast scaling: exactly enough servers every hour."""
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    hours = [
-        _servers_for(load, policy.capacity_per_server, policy.min_servers)
-        for load in loads
-    ]
-    return ProvisioningOutcome(
-        strategy="oracle",
-        server_hours=int(sum(hours)),
-        underprovisioned_hours=0,
-        n_hours=int(loads.size),
-        trajectory=tuple(hours),
-    )
-
-
-def reactive_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Follow last hour's load with headroom and a scale-down cooldown.
-
-    Hour 0 has no "last hour" to follow, so the fleet bootstraps from
-    ``loads[0] * headroom`` — treating the first hour's load as the first
-    *observation*, exactly as every later hour is treated.  (Sizing hour 0
-    from the raw current-hour load, as this function once did, was an
-    oracle peek with no headroom: it contradicted the follow-the-last-
-    observation contract and understated the reactive fleet's cost.)
-
-    Cooldown semantics: ``below_streak`` counts consecutive hours whose
-    target stayed *at or below* the current fleet; a scale-down fires on
-    an hour whose target is strictly below once the streak exceeds the
-    cooldown.  Plateau hours — target exactly at the fleet — therefore
-    count toward the streak (the demand has visibly stopped growing) but
-    never themselves shrink the fleet.  (An earlier version reset the
-    streak on plateau hours, so a declining profile with plateaus at the
-    current fleet size postponed scale-down indefinitely.)
-    """
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    fleet = _servers_for(
-        float(loads[0]) * policy.headroom,
-        policy.capacity_per_server,
-        policy.min_servers,
-    )
-    server_hours = 0
-    violations = 0
-    below_streak = 0
-    trajectory: list[int] = []
-    for hour, load in enumerate(loads):
-        if hour > 0:
-            target = _servers_for(
-                float(loads[hour - 1]) * policy.headroom,
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
-            if target > fleet:
-                fleet = target
-                below_streak = 0
-            else:
-                below_streak += 1
-                if (
-                    target < fleet
-                    and below_streak > policy.scale_down_cooldown
-                ):
-                    fleet = target
-                    below_streak = 0
-        trajectory.append(fleet)
-        server_hours += fleet
-        if _servers_needed(float(load), policy.capacity_per_server) > fleet:
-            violations += 1
-    return ProvisioningOutcome(
-        strategy="reactive",
-        server_hours=server_hours,
-        underprovisioned_hours=violations,
-        n_hours=int(loads.size),
-        trajectory=tuple(trajectory),
-    )
 
 
 def _seasonal_forecast(history: list[float], period: int) -> float:
@@ -315,77 +230,8 @@ def _seasonal_forecast(history: list[float], period: int) -> float:
     return sum(same_phase) / len(same_phase)
 
 
-def predictive_provisioning(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> ProvisioningOutcome:
-    """Provision one step ahead of the profile's own seasonality.
-
-    Each hour is sized for the seasonal forecast (same-phase hours of up
-    to the last three cycles, see :func:`_seasonal_forecast`) times the
-    policy headroom.  A guardrail tracks the mean relative error of the
-    forecasts already issued; while it exceeds
-    ``policy.forecast_guardrail`` the controller provisions
-    ``max(forecast, last observation)`` — no worse than reactive —
-    instead of trusting the forecast alone.  Because the forecast
-    anticipates both ramps and declines, no scale-down cooldown applies:
-    confidence in the forecast replaces the anti-thrashing delay.
-    """
-    loads = np.asarray(profile, dtype=float)
-    if loads.size == 0:
-        raise ValueError("empty profile")
-    period = policy.period
-    server_hours = 0
-    violations = 0
-    trajectory: list[int] = []
-    errors: list[float] = []
-    fleet = _servers_for(
-        float(loads[0]) * policy.headroom,
-        policy.capacity_per_server,
-        policy.min_servers,
-    )
-    for hour, load in enumerate(loads):
-        if hour > 0:
-            history = [float(x) for x in loads[:hour]]
-            forecast = _seasonal_forecast(history, period)
-            errors.append(
-                abs(forecast - float(load)) / max(float(load), 1.0)
-            )
-            basis = forecast
-            recent = errors[-period:]
-            if sum(recent) / len(recent) > policy.forecast_guardrail:
-                basis = max(forecast, history[-1])
-            fleet = _servers_for(
-                basis * policy.headroom,
-                policy.capacity_per_server,
-                policy.min_servers,
-            )
-        trajectory.append(fleet)
-        server_hours += fleet
-        if _servers_needed(float(load), policy.capacity_per_server) > fleet:
-            violations += 1
-    return ProvisioningOutcome(
-        strategy="predictive",
-        server_hours=server_hours,
-        underprovisioned_hours=violations,
-        n_hours=int(loads.size),
-        trajectory=tuple(trajectory),
-    )
-
-
-def compare_strategies(
-    profile: np.ndarray, policy: AutoscalerPolicy
-) -> dict[str, ProvisioningOutcome]:
-    """All closed-form strategies over one profile."""
-    return {
-        "static": static_provisioning(profile, policy),
-        "reactive": reactive_provisioning(profile, policy),
-        "predictive": predictive_provisioning(profile, policy),
-        "oracle": oracle_provisioning(profile, policy),
-    }
-
-
 # ----------------------------------------------------------------------
-# The chaos-coupled loop: fleet controllers driven by live signals.
+# The fleet controllers and the signals they observe.
 # ----------------------------------------------------------------------
 
 
@@ -411,14 +257,25 @@ class WindowSignals:
 
 
 class FleetController:
-    """Load-following live controller — the reactive baseline.
+    """Load-following controller — the reactive baseline.
 
     ``decide(window)`` picks the fleet for the next window from the
     signals observed so far (:meth:`observe` appends one
-    :class:`WindowSignals` per finished window).  Window 0 bootstraps
-    from the advertised first-window load, mirroring the closed-form
-    reactive bootstrap.  Scale-down uses the same streak semantics as
-    :func:`reactive_provisioning`.
+    :class:`WindowSignals` per finished window).  Every target is clamped
+    to ``[min_servers, max_servers]``.
+
+    Window 0 has no last window to follow, so the fleet bootstraps from
+    the advertised first-window load *with headroom* — treating it as the
+    first observation, exactly as every later window is treated (sizing
+    from the raw load would be an oracle peek with no headroom).
+
+    Cooldown semantics: the below-streak counts consecutive decisions
+    whose target stayed *at or below* the fleet; a scale-down fires on a
+    decision whose target is strictly below once the streak exceeds the
+    cooldown.  Plateau windows (target exactly at the fleet) count toward
+    the streak — demand has visibly stopped growing — but never shrink
+    the fleet themselves, so a declining profile that plateaus at the
+    fleet size still scales down.
     """
 
     name = "reactive"
@@ -524,11 +381,14 @@ class FaultAwareController(FleetController):
 class PredictiveController(FleetController):
     """One-step-ahead seasonal forecaster with an error guardrail.
 
-    Live twin of :func:`predictive_provisioning`: provisions the
-    same-phase forecast times headroom, tracks realized forecast errors,
-    and while the recent mean relative error exceeds the guardrail falls
-    back to ``max(forecast, last observation)``.  No cooldown — the
-    forecast anticipates declines as well as ramps.
+    Provisions the same-phase forecast (:func:`_seasonal_forecast`)
+    times headroom.  Each forecast's relative error is recorded once the
+    window it forecast has been observed, never before, so a decision
+    cannot read the load it is forecasting.  While the recent mean
+    relative error exceeds the guardrail the controller falls back to
+    ``max(forecast, last observation)`` — no worse than reactive.  No
+    cooldown: the forecast anticipates declines as well as ramps, so
+    confidence in it replaces the anti-thrashing delay.
     """
 
     name = "predictive"
@@ -628,6 +488,64 @@ def make_controller(
             f"choose from {sorted(CONTROLLERS)}"
         ) from None
     return cls(policy, planned_loads)
+
+
+def provision(
+    profile: np.ndarray, policy: AutoscalerPolicy, strategy: str
+) -> ProvisioningOutcome:
+    """Drive one fleet controller over a planned hourly load profile.
+
+    Each hour is one window: the controller decides the fleet, the hour
+    counts as under-provisioned when its load needs more servers than
+    that, and the controller then observes the hour's load with quiet
+    fault signals (nothing shed, failed or down).  This is the live loop
+    of :func:`run_autoscaled_service` with the service replaced by the
+    profile, so a fault-free live trajectory equals this one.
+    """
+    loads = np.asarray(profile, dtype=float)
+    if loads.ndim != 1:
+        raise ValueError(f"profile must be 1-D, got shape {loads.shape}")
+    if loads.size == 0:
+        raise ValueError("empty profile")
+    if not np.isfinite(loads).all():
+        raise ValueError("profile has non-finite loads")
+    if (loads < 0).any():
+        raise ValueError("profile has negative loads")
+    planned = tuple(float(load) for load in loads)
+    controller = make_controller(strategy, policy, planned)
+    trajectory: list[int] = []
+    violations = 0
+    for window, load in enumerate(planned):
+        fleet = controller.decide(window)
+        trajectory.append(fleet)
+        if _servers_needed(load, policy.capacity_per_server) > fleet:
+            violations += 1
+        controller.observe(
+            WindowSignals(
+                window=window,
+                load=load,
+                shed_rate=0.0,
+                failure_rate=0.0,
+                down_fraction=0.0,
+                pressure_sheds=0,
+                retries=0,
+            )
+        )
+    return ProvisioningOutcome(
+        strategy=controller.name,
+        trajectory=tuple(trajectory),
+        underprovisioned_hours=violations,
+    )
+
+
+def compare_strategies(
+    profile: np.ndarray, policy: AutoscalerPolicy
+) -> dict[str, ProvisioningOutcome]:
+    """The static, reactive, predictive and oracle outcomes of a profile."""
+    return {
+        strategy: provision(profile, policy, strategy)
+        for strategy in ("static", "reactive", "predictive", "oracle")
+    }
 
 
 # ----------------------------------------------------------------------
@@ -835,13 +753,11 @@ class AutoscaleRun:
         return sum(w.aborted for w in self.windows)
 
     def to_outcome(self) -> ProvisioningOutcome:
-        """Collapse to the closed-form outcome shape (A11 comparisons)."""
+        """Collapse to the :func:`provision` outcome shape."""
         return ProvisioningOutcome(
             strategy=self.strategy,
-            server_hours=self.server_hours,
-            underprovisioned_hours=self.underprovisioned_windows,
-            n_hours=self.n_windows,
             trajectory=self.trajectory(),
+            underprovisioned_hours=self.underprovisioned_windows,
         )
 
     def trajectory_json(self) -> str:

@@ -1,22 +1,26 @@
 """Tests for the chaos-coupled autoscaling loop.
 
-The closed-form strategies are covered by ``test_service_autoscaler``;
-this file exercises the live path: fleet controllers fed by window
+Provisioning over a planned profile is covered by
+``test_service_autoscaler``; this file exercises the live path: fleet controllers fed by window
 telemetry, the shared fault plan threaded through resized clusters, and
 the determinism/reconciliation contracts the R6 experiment rests on.
 """
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.experiments import r6_autoscaler as r6
 from repro.faults import FaultConfig, FaultPlan, FaultStats, ZoneConfig
 from repro.service.autoscaler import (
+    CONTROLLERS,
     AutoscalerPolicy,
     FaultAwareController,
     WindowSignals,
     diurnal_autoscale_workload,
     make_controller,
+    provision,
     run_autoscaled_service,
 )
 from repro.service.cluster import ServiceCluster
@@ -279,6 +283,32 @@ class TestAutoscaledRun:
         assert outcome.strategy == "static"
         assert outcome.n_hours == 4
         assert outcome.trajectory == run.trajectory()
+
+    @pytest.mark.parametrize("strategy", sorted(CONTROLLERS))
+    def test_fault_free_run_equals_provision(self, strategy):
+        # R6's policy, fleet and transfer sizes on two six-window cycles:
+        # with no faults every window is quiet, so the live loop and the
+        # profile path drive the controller identically.
+        policy = dataclasses.replace(r6.R6_POLICY, period=6)
+        wl = diurnal_autoscale_workload(
+            12,
+            window_seconds=r6.WINDOW_SECONDS,
+            peak_ops=r6.PEAK_OPS,
+            mean_size=r6.MEAN_SIZE,
+            period=6,
+            seed=r6.WORKLOAD_SEED,
+        )
+        run = run_autoscaled_service(
+            wl,
+            policy,
+            strategy=strategy,
+            frontend_capacity=r6.FRONTEND_CAPACITY,
+            retry_policy=r6.R6_RETRY_POLICY,
+            slo_shed=r6.SLO_SHED,
+        )
+        planned = provision(wl.loads, policy, strategy)
+        assert run.trajectory() == planned.trajectory
+        assert run.underprovisioned_windows == planned.underprovisioned_hours
 
     def test_rejects_negative_slo(self):
         with pytest.raises(ValueError):

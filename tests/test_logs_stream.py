@@ -1,20 +1,15 @@
 """Tests for streaming aggregation."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.logs import (
     DeviceType,
     Direction,
     LogRecord,
     RequestKind,
-    RunningStats,
     VolumeTally,
     devices_by_user,
     group_by_user,
-    iter_sorted_runs,
     tally_by_hour,
     tally_by_user,
 )
@@ -110,40 +105,3 @@ def test_group_by_user_sorts_within_group():
     groups = group_by_user(records)
     assert [r.timestamp for r in groups[1]] == [1.0, 5.0]
     assert len(groups[2]) == 1
-
-
-def test_iter_sorted_runs_splits_on_user_change():
-    records = [chunk(user=1), chunk(user=1), chunk(user=2), chunk(user=1)]
-    runs = list(iter_sorted_runs(records))
-    assert [len(r) for r in runs] == [2, 1, 1]
-    assert [r[0].user_id for r in runs] == [1, 2, 1]
-
-
-class TestRunningStats:
-    def test_empty_mean_raises(self):
-        with pytest.raises(ValueError):
-            RunningStats().mean
-
-    def test_single_value(self):
-        stats = RunningStats()
-        stats.add(3.0)
-        assert stats.mean == 3.0
-        assert stats.variance == 0.0
-        assert stats.minimum == stats.maximum == 3.0
-
-    @given(
-        values=st.lists(
-            st.floats(-1e6, 1e6, allow_nan=False), min_size=2, max_size=100
-        )
-    )
-    @settings(max_examples=100)
-    def test_matches_numpy(self, values):
-        stats = RunningStats()
-        for v in values:
-            stats.add(v)
-        assert stats.mean == pytest.approx(np.mean(values), rel=1e-9, abs=1e-6)
-        assert stats.variance == pytest.approx(
-            np.var(values, ddof=1), rel=1e-6, abs=1e-4
-        )
-        assert stats.minimum == min(values)
-        assert stats.maximum == max(values)
